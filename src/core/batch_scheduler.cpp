@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/timer.hpp"
+#include "core/plan_opt.hpp"
 
 namespace memq::core {
 
@@ -18,30 +19,6 @@ namespace {
 bool stage_equal(const Stage& a, const Stage& b) {
   return a.kind == b.kind && a.pair_qubit == b.pair_qubit &&
          a.gates == b.gates;
-}
-
-/// The windowed cache-plan entry a stage induces — plan_accesses()'s kind
-/// mapping plus the member window, so the Belady clock sees exactly which
-/// member's slots each execution touches.
-StageAccess access_for(const Stage& stage, qubit_t chunk_qubits, index_t base,
-                       index_t span) {
-  StageAccess a;
-  a.base = base;
-  a.count = span;
-  switch (stage.kind) {
-    case StageKind::kPermute:
-      a.kind = StageAccess::Kind::kNone;
-      break;
-    case StageKind::kPair:
-      a.kind = StageAccess::Kind::kPair;
-      a.pair_mask = index_t{1} << (stage.pair_qubit - chunk_qubits);
-      break;
-    case StageKind::kLocal:
-    case StageKind::kMeasure:
-      a.kind = StageAccess::Kind::kEvery;
-      break;
-  }
-  return a;
 }
 
 }  // namespace
@@ -121,8 +98,8 @@ void BatchScheduler::build_script(const std::vector<std::uint32_t>& group,
     op.stage_index = d;
     op.group_size = static_cast<std::uint32_t>(group.size());
     op.access_index = accesses_.size();
-    accesses_.push_back(access_for(rep_stages[d], config_.chunk_qubits,
-                                   member_base(rep), span_));
+    accesses_.push_back(stage_access(rep_stages[d], config_.chunk_qubits,
+                                     member_base(rep), span_));
     script_.push_back(op);
     ++d;
   }

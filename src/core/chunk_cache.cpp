@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <iterator>
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
@@ -12,6 +11,147 @@
 
 namespace memq::core {
 
+// ---------------------------------------------------------------------------
+// CachePolicy
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Position of slot in a stage's sweep, or nullopt if untouched.
+std::optional<index_t> position_in(const StageAccess& stage, index_t slot) {
+  if (stage.count != 0 &&
+      (slot < stage.base || slot >= stage.base + stage.count))
+    return std::nullopt;  // windowed stage: slots outside are untouched
+  const index_t local = slot - stage.base;
+  switch (stage.kind) {
+    case StageAccess::Kind::kEvery:
+      return local;
+    case StageAccess::Kind::kPair:
+      return local & ~stage.pair_mask;
+    case StageAccess::Kind::kPermute:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+void CachePolicy::set_plan(std::vector<StageAccess> plan) {
+  plan_ = std::move(plan);
+  stage_ = 0;
+  now_ = 0;
+  // Memoized distances refer to the previous plan's clock; mark them stale
+  // so the next scan recomputes against the new schedule.
+  for (auto& [slot, r] : residents_) r.next_use = 0;
+}
+
+void CachePolicy::begin_stage(std::size_t stage_index) {
+  stage_ = stage_index;
+  if (!plan_.empty()) now_ = std::max(now_, stage_index * width_);
+}
+
+void CachePolicy::clear_plan() {
+  plan_.clear();
+  stage_ = 0;
+}
+
+std::uint64_t CachePolicy::next_use_of(index_t slot,
+                                       std::uint64_t from_time) const {
+  if (!plan_active()) return kNever;
+  for (std::size_t s = static_cast<std::size_t>(from_time / width_);
+       s < plan_.size(); ++s) {
+    const std::optional<index_t> pos = position_in(plan_[s], slot);
+    if (!pos) continue;
+    const std::uint64_t t = s * width_ + *pos;
+    if (t > from_time) return t;
+  }
+  return kNever;
+}
+
+std::uint64_t CachePolicy::next_use(index_t slot, Resident& r) {
+  if (r.next_use <= now_) r.next_use = next_use_of(slot, now_);
+  return r.next_use;
+}
+
+CachePolicy::Resident* CachePolicy::access(index_t slot) {
+  if (plan_active()) {
+    const std::optional<index_t> pos = position_in(plan_[stage_], slot);
+    if (pos) now_ = std::max(now_, stage_ * width_ + *pos);
+  }
+  const auto it = residents_.find(slot);
+  if (it == residents_.end()) return nullptr;
+  it->second.last_use = ++lru_tick_;
+  it->second.next_use = 0;  // recomputed from this access when next needed
+  return &it->second;
+}
+
+bool CachePolicy::admits(index_t slot) {
+  if (capacity_ == 0) return false;
+  if (!plan_active()) return true;  // LRU mode: always cache
+  if (residents_.size() < capacity_) return true;
+  // Belady admits a chunk only when some resident is needed strictly later
+  // than the chunk's own next scheduled access — otherwise the eviction it
+  // forces discards a sooner-needed entry (or, at the end of the plan,
+  // churns a dirty entry through the codec for nothing).
+  const std::uint64_t incoming = next_use_of(slot, now_);
+  for (auto& [s, r] : residents_)
+    if (next_use(s, r) > incoming) return true;
+  return false;
+}
+
+std::unordered_map<index_t, CachePolicy::Resident>::iterator
+CachePolicy::pick_victim() {
+  const bool belady = plan_active();
+  auto victim = residents_.begin();
+  for (auto it = residents_.begin(); it != residents_.end(); ++it) {
+    if (belady) {
+      // Belady: evict the farthest next use.
+      const std::uint64_t nu = next_use(it->first, it->second);
+      if (nu > victim->second.next_use ||
+          (nu == victim->second.next_use && it->first > victim->first))
+        victim = it;
+    } else if (it->second.last_use < victim->second.last_use) {
+      victim = it;  // LRU fallback for plan-less sweeps
+    }
+  }
+  return victim;
+}
+
+void CachePolicy::insert(index_t slot, bool dirty, std::uint32_t handle) {
+  const bool inserted =
+      residents_.emplace(slot, Resident{dirty, handle, ++lru_tick_}).second;
+  MEMQ_ASSERT(inserted);
+  (void)inserted;
+}
+
+std::optional<CachePolicy::Resident> CachePolicy::erase(index_t slot) {
+  auto node = residents_.extract(slot);
+  if (!node) return std::nullopt;
+  return node.mapped();
+}
+
+void CachePolicy::relabel(index_t i, index_t j) {
+  if (i == j) return;
+  auto ni = residents_.extract(i);
+  auto nj = residents_.extract(j);
+  for (auto* node : {&ni, &nj}) {
+    if (!*node) continue;
+    const index_t to = node == &ni ? j : i;
+    node->key() = to;
+    node->mapped().next_use = 0;
+    residents_.insert(std::move(*node));
+  }
+}
+
+const CachePolicy::Resident* CachePolicy::find(index_t slot) const {
+  const auto it = residents_.find(slot);
+  return it != residents_.end() ? &it->second : nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// ChunkCache
+// ---------------------------------------------------------------------------
+
 ChunkCache::ChunkCache(ChunkStore& store, CodecPool* pool, BufferPool& buffers,
                        InFlightLedger& ledger, std::uint64_t budget_bytes)
     : store_(store),
@@ -19,6 +159,8 @@ ChunkCache::ChunkCache(ChunkStore& store, CodecPool* pool, BufferPool& buffers,
       ledger_(ledger),
       budget_bytes_(budget_bytes),
       chunk_raw_bytes_(store.chunk_raw_bytes()),
+      policy_(chunk_raw_bytes_ != 0 ? budget_bytes / chunk_raw_bytes_ : 0,
+              store.n_chunks()),
       writer_(store, pool, buffers, ledger,
               pool != nullptr ? pool->workers() : 0),
       hits_(metrics::Registry::global().counter("cache.hits")),
@@ -69,66 +211,6 @@ ChunkCache::~ChunkCache() {
   }
 }
 
-std::optional<index_t> ChunkCache::position_in(const StageAccess& stage,
-                                               index_t slot) {
-  if (stage.count != 0 &&
-      (slot < stage.base || slot >= stage.base + stage.count))
-    return std::nullopt;  // windowed stage: slots outside are untouched
-  const index_t local = slot - stage.base;
-  switch (stage.kind) {
-    case StageAccess::Kind::kEvery:
-      return local;
-    case StageAccess::Kind::kPair:
-      return local & ~stage.pair_mask;
-    case StageAccess::Kind::kNone:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::uint64_t ChunkCache::next_use_of(index_t slot,
-                                      std::uint64_t from_time) const {
-  if (!plan_active()) return kNever;
-  for (std::size_t s = static_cast<std::size_t>(from_time / width_);
-       s < plan_.size(); ++s) {
-    const std::optional<index_t> pos = position_in(plan_[s], slot);
-    if (!pos) continue;
-    const std::uint64_t t = s * width_ + *pos;
-    if (t > from_time) return t;
-  }
-  return kNever;
-}
-
-void ChunkCache::touch(index_t slot, Entry& entry) {
-  entry.last_use = ++lru_tick_;
-  if (plan_active()) {
-    const std::optional<index_t> pos = position_in(plan_[stage_], slot);
-    if (pos) now_ = std::max(now_, stage_ * width_ + *pos);
-    entry.next_use = next_use_of(slot, now_);
-  }
-}
-
-void ChunkCache::advance_clock(index_t slot) {
-  if (!plan_active()) return;
-  const std::optional<index_t> pos = position_in(plan_[stage_], slot);
-  if (pos) now_ = std::max(now_, stage_ * width_ + *pos);
-}
-
-bool ChunkCache::worth_inserting(index_t slot) {
-  if (!plan_active()) return true;  // LRU mode: always cache
-  if (resident_g_.value() + chunk_raw_bytes_ <= budget_bytes_) return true;
-  // Belady admits a chunk only when some resident is needed strictly later
-  // than the chunk's own next scheduled access — otherwise the eviction it
-  // forces discards a sooner-needed entry (or, at the end of the plan,
-  // churns a dirty entry through the codec for nothing).
-  const std::uint64_t incoming = next_use_of(slot, now_);
-  for (auto& [s, e] : entries_) {
-    if (e.next_use <= now_) e.next_use = next_use_of(s, now_);
-    if (e.next_use > incoming) return true;
-  }
-  return false;
-}
-
 void ChunkCache::guard_slot(index_t i) {
   if (pending_wb_.empty() || pending_wb_.count(i) == 0) return;
   writer_.drain();
@@ -162,143 +244,110 @@ void ChunkCache::writeback(index_t slot, std::vector<amp_t> buf) {
   pending_wb_.insert(slot);
 }
 
-void ChunkCache::evict_to_fit(std::uint64_t extra_bytes) {
-  while (!entries_.empty() &&
-         resident_g_.value() + extra_bytes > budget_bytes_) {
-    auto victim = entries_.end();
-    if (plan_active()) {
-      // Belady: evict the farthest next use. Entries whose memoized next
-      // use is in the past (a scheduled access was skipped, e.g. a zero
-      // chunk) are lazily recomputed from the current clock.
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.next_use <= now_)
-          it->second.next_use = next_use_of(it->first, now_);
-        if (victim == entries_.end() ||
-            it->second.next_use > victim->second.next_use ||
-            (it->second.next_use == victim->second.next_use &&
-             it->first > victim->first))
-          victim = it;
-      }
-    } else {
-      // LRU fallback for plan-less sweeps.
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (victim == entries_.end() ||
-            it->second.last_use < victim->second.last_use)
-          victim = it;
-      }
-    }
-    const index_t slot = victim->first;
-    Entry entry = std::move(victim->second);
-    entries_.erase(victim);
-    resident_g_.sub(static_cast<std::int64_t>(chunk_raw_bytes_));
-    evictions_.add();
-    MEMQ_TRACE_INSTANT("cache", "evict",
-                       trace::arg("chunk", std::uint64_t{slot}) + "," +
-                           trace::arg("next_use", entry.next_use));
-    if (entry.dirty) {
-      guard_slot(slot);
-      writebacks_.add();
-      MEMQ_TRACE_INSTANT("cache", "writeback",
-                         trace::arg("chunk", std::uint64_t{slot}));
-      writeback(slot, std::move(entry.data));  // releases the ledger bytes
-    } else {
-      clean_evictions_.add();
-      ledger_.release(chunk_raw_bytes_);
-      buffers_.put(std::move(entry.data));
-    }
-    MEMQ_TRACE_COUNTER("cache_resident_bytes",
-                       static_cast<double>(resident_g_.value()));
-  }
+std::vector<amp_t> ChunkCache::take_payload(const CachePolicy::Resident& r) {
+  resident_g_.sub(static_cast<std::int64_t>(chunk_raw_bytes_));
+  free_handles_.push_back(r.handle);
+  return std::move(payloads_[r.handle].data);
 }
 
-void ChunkCache::insert(index_t i, std::span<const amp_t> data, bool dirty,
-                        bool from_decode) {
-  Entry entry;
-  entry.data = buffers_.get(store_.chunk_amps());
-  std::copy(data.begin(), data.end(), entry.data.begin());
-  entry.dirty = dirty;
-  entry.from_decode = from_decode;
+bool ChunkCache::admit(index_t i, std::span<const amp_t> data, bool dirty,
+                       bool from_decode) {
+  const bool admitted = policy_.make_room(
+      i, [&](index_t slot, const CachePolicy::Resident& victim) {
+        std::vector<amp_t> evicted = take_payload(victim);
+        evictions_.add();
+        MEMQ_TRACE_INSTANT("cache", "evict",
+                           trace::arg("chunk", std::uint64_t{slot}) + "," +
+                               trace::arg("next_use", victim.next_use));
+        if (victim.dirty) {
+          guard_slot(slot);
+          writebacks_.add();
+          MEMQ_TRACE_INSTANT("cache", "writeback",
+                             trace::arg("chunk", std::uint64_t{slot}));
+          writeback(slot, std::move(evicted));  // releases the ledger bytes
+        } else {
+          clean_evictions_.add();
+          ledger_.release(chunk_raw_bytes_);
+          buffers_.put(std::move(evicted));
+        }
+        MEMQ_TRACE_COUNTER("cache_resident_bytes",
+                           static_cast<double>(resident_g_.value()));
+      });
+  if (!admitted) return false;
+  std::uint32_t handle = static_cast<std::uint32_t>(payloads_.size());
+  if (free_handles_.empty()) {
+    payloads_.emplace_back();
+  } else {
+    handle = free_handles_.back();
+    free_handles_.pop_back();
+  }
+  Payload& p = payloads_[handle];
+  p.data = buffers_.get(store_.chunk_amps());
+  std::copy(data.begin(), data.end(), p.data.begin());
+  p.from_decode = from_decode;
   ledger_.acquire(chunk_raw_bytes_);
   resident_g_.add(static_cast<std::int64_t>(chunk_raw_bytes_));
-  auto [it, inserted] = entries_.emplace(i, std::move(entry));
-  MEMQ_ASSERT(inserted);
-  (void)inserted;
-  touch(i, it->second);
+  policy_.insert(i, dirty, handle);
+  return true;
 }
 
 void ChunkCache::load(index_t i, std::span<amp_t> out) {
   MEMQ_CHECK(out.size() == store_.chunk_amps(), "cache load span mismatch");
-  const auto it = entries_.find(i);
-  if (it != entries_.end()) {
-    std::copy(it->second.data.begin(), it->second.data.end(), out.begin());
-    touch(i, it->second);
+  if (const CachePolicy::Resident* r = policy_.access(i)) {
+    const std::vector<amp_t>& data = payloads_[r->handle].data;
+    std::copy(data.begin(), data.end(), out.begin());
     hits_.add();
-    MEMQ_TRACE_INSTANT("cache", "hit",
-                       trace::arg("chunk", std::uint64_t{i}) + "," +
-                           trace::arg("next_use", it->second.next_use));
+    MEMQ_TRACE_INSTANT("cache", "hit", trace::arg("chunk", std::uint64_t{i}));
     return;
   }
   guard_slot(i);
-  if (try_alias_load(i, out)) return;
-  MEMQ_TRACE_INSTANT("cache", "miss", trace::arg("chunk", std::uint64_t{i}));
-  WallTimer t;
-  store_.load(i, out);
-  decode_seconds_ += t.seconds();
-  misses_.add();
-  advance_clock(i);  // pass-throughs must still move the Belady clock
-  if (budget_bytes_ >= chunk_raw_bytes_ && worth_inserting(i)) {
-    evict_to_fit(chunk_raw_bytes_);
-    insert(i, out, /*dirty=*/false, /*from_decode=*/true);
+  if (!try_alias_load(i, out)) {
+    MEMQ_TRACE_INSTANT("cache", "miss",
+                       trace::arg("chunk", std::uint64_t{i}));
+    WallTimer t;
+    store_.load(i, out);
+    decode_seconds_ += t.seconds();
+    misses_.add();
   }
+  admit(i, out, /*dirty=*/false, /*from_decode=*/true);
 }
 
 bool ChunkCache::try_alias_load(index_t i, std::span<amp_t> out) {
   const std::uint64_t cid = store_.content_id(i);
   if (cid == BlobStore::kNoContentId) return false;
-  index_t source = 0;
-  bool found = false;
-  for (const auto& [slot, e] : entries_) {
+  std::optional<index_t> source;
+  policy_.for_each([&](index_t slot, const CachePolicy::Resident& r) {
     // Eligible sources hold exactly decode(blob bytes): clean, no encode in
-    // flight, and decode-derived (see Entry::from_decode). Since the blob
+    // flight, and decode-derived (see Payload::from_decode). Since the blob
     // store byte-verified slot and i onto one physical copy, copying the
     // entry is bit-identical to decoding blob i.
-    if (e.dirty || !e.from_decode) continue;
-    if (!pending_wb_.empty() && pending_wb_.count(slot) != 0) continue;
-    if (store_.content_id(slot) != cid) continue;
-    std::copy(e.data.begin(), e.data.end(), out.begin());
+    const Payload& p = payloads_[r.handle];
+    if (source || r.dirty || !p.from_decode) return;
+    if (!pending_wb_.empty() && pending_wb_.count(slot) != 0) return;
+    if (store_.content_id(slot) != cid) return;
+    std::copy(p.data.begin(), p.data.end(), out.begin());
     source = slot;
-    found = true;
-    break;
-  }
-  if (!found) return false;
+  });
+  if (!source) return false;
   alias_hits_.add();
   MEMQ_TRACE_INSTANT("cache", "alias_hit",
                      trace::arg("chunk", std::uint64_t{i}) + "," +
-                         trace::arg("source", std::uint64_t{source}));
-  advance_clock(i);
-  if (budget_bytes_ >= chunk_raw_bytes_ && worth_inserting(i)) {
-    evict_to_fit(chunk_raw_bytes_);
-    insert(i, out, /*dirty=*/false, /*from_decode=*/true);
-  }
+                         trace::arg("source", std::uint64_t{*source}));
   return true;
 }
 
 void ChunkCache::store(index_t i, std::span<const amp_t> in) {
   MEMQ_CHECK(in.size() == store_.chunk_amps(), "cache store span mismatch");
-  const auto it = entries_.find(i);
-  if (it != entries_.end()) {
-    std::copy(in.begin(), in.end(), it->second.data.begin());
-    it->second.dirty = true;
-    it->second.from_decode = false;  // pre-codec amplitudes from here on
-    touch(i, it->second);
+  if (CachePolicy::Resident* r = policy_.access(i)) {
+    Payload& p = payloads_[r->handle];
+    std::copy(in.begin(), in.end(), p.data.begin());
+    r->dirty = true;
+    p.from_decode = false;  // pre-codec amplitudes from here on
     stores_absorbed_.add();
     return;
   }
   guard_slot(i);
-  advance_clock(i);
-  if (budget_bytes_ >= chunk_raw_bytes_ && worth_inserting(i)) {
-    evict_to_fit(chunk_raw_bytes_);
-    insert(i, in, /*dirty=*/true, /*from_decode=*/false);
+  if (admit(i, in, /*dirty=*/true, /*from_decode=*/false)) {
     stores_absorbed_.add();
     return;
   }
@@ -312,8 +361,7 @@ void ChunkCache::store(index_t i, std::span<const amp_t> in) {
 }
 
 bool ChunkCache::is_zero(index_t i) const {
-  const auto it = entries_.find(i);
-  if (it != entries_.end() && it->second.dirty) return false;
+  if (dirty(i)) return false;
   // A slot with an encode still in flight has unknown blob state; treat as
   // possibly nonzero rather than racing the write-back worker.
   if (!pending_wb_.empty() && pending_wb_.count(i) != 0) return false;
@@ -321,59 +369,42 @@ bool ChunkCache::is_zero(index_t i) const {
 }
 
 bool ChunkCache::is_constant(index_t i) const {
-  const auto it = entries_.find(i);
-  if (it != entries_.end() && it->second.dirty) return false;
+  if (dirty(i)) return false;
   if (!pending_wb_.empty() && pending_wb_.count(i) != 0) return false;
   return store_.is_constant_chunk(i);
 }
 
 bool ChunkCache::dirty(index_t i) const {
-  const auto it = entries_.find(i);
-  return it != entries_.end() && it->second.dirty;
+  const CachePolicy::Resident* r = policy_.find(i);
+  return r != nullptr && r->dirty;
 }
 
 void ChunkCache::drop(index_t i) {
   guard_slot(i);
-  const auto it = entries_.find(i);
-  if (it == entries_.end()) return;
+  const std::optional<CachePolicy::Resident> r = policy_.erase(i);
+  if (!r) return;
   ledger_.release(chunk_raw_bytes_);
-  resident_g_.sub(static_cast<std::int64_t>(chunk_raw_bytes_));
-  buffers_.put(std::move(it->second.data));
-  entries_.erase(it);
+  buffers_.put(take_payload(*r));
 }
 
 void ChunkCache::on_swap(index_t i, index_t j) {
   if (i == j) return;
   guard_slot(i);
   guard_slot(j);
-  auto ni = entries_.extract(i);
-  auto nj = entries_.extract(j);
-  if (ni) {
-    ni.key() = j;
-    entries_.insert(std::move(ni));
-  }
-  if (nj) {
-    nj.key() = i;
-    entries_.insert(std::move(nj));
-  }
-  if (plan_active()) {
-    if (auto it = entries_.find(j); it != entries_.end() && ni)
-      it->second.next_use = next_use_of(j, now_);
-    if (auto it = entries_.find(i); it != entries_.end() && nj)
-      it->second.next_use = next_use_of(i, now_);
-  }
+  policy_.relabel(i, j);
 }
 
 void ChunkCache::flush() {
-  for (auto& [slot, entry] : entries_) {
-    if (!entry.dirty) continue;
+  policy_.for_each([&](index_t slot, CachePolicy::Resident& r) {
+    if (!r.dirty) return;
+    const std::vector<amp_t>& data = payloads_[r.handle].data;
     std::vector<amp_t> buf = buffers_.get(store_.chunk_amps());
-    std::copy(entry.data.begin(), entry.data.end(), buf.begin());
+    std::copy(data.begin(), data.end(), buf.begin());
     ledger_.acquire(chunk_raw_bytes_);
     writebacks_.add();
     writeback(slot, std::move(buf));
-    entry.dirty = false;
-  }
+    r.dirty = false;
+  });
   writer_.drain();
   pending_wb_.clear();
 }
@@ -381,32 +412,14 @@ void ChunkCache::flush() {
 void ChunkCache::invalidate() {
   writer_.drain();
   pending_wb_.clear();
-  for (auto& [slot, entry] : entries_) {
+  policy_.for_each([&](index_t, const CachePolicy::Resident& r) {
     ledger_.release(chunk_raw_bytes_);
-    buffers_.put(std::move(entry.data));
-  }
-  entries_.clear();
+    buffers_.put(std::move(payloads_[r.handle].data));
+  });
+  policy_.clear();
+  payloads_.clear();
+  free_handles_.clear();
   resident_g_.set(0);
-}
-
-void ChunkCache::set_plan(std::vector<StageAccess> plan) {
-  plan_ = std::move(plan);
-  stage_ = 0;
-  width_ = store_.n_chunks();
-  now_ = 0;
-  // Memoized distances refer to the previous plan's clock; mark them stale
-  // so the next eviction scan recomputes against the new schedule.
-  for (auto& [slot, entry] : entries_) entry.next_use = 0;
-}
-
-void ChunkCache::begin_stage(std::size_t stage_index) {
-  stage_ = stage_index;
-  if (!plan_.empty()) now_ = std::max(now_, stage_index * width_);
-}
-
-void ChunkCache::clear_plan() {
-  plan_.clear();
-  stage_ = 0;
 }
 
 ChunkCache::Timings ChunkCache::take_timings() {
@@ -491,7 +504,7 @@ PlanCost forecast_plan_cost(const std::vector<StageAccess>& plan,
     return stage.count != 0 ? stage.count : n_chunks;
   };
   for (const StageAccess& stage : plan) {
-    if (stage.kind == StageAccess::Kind::kNone) continue;
+    if (stage.kind == StageAccess::Kind::kPermute) continue;
     cost.chunk_loads += stage_count(stage);
     cost.chunk_stores += stage_count(stage);
   }
@@ -502,132 +515,62 @@ PlanCost forecast_plan_cost(const std::vector<StageAccess>& plan,
   // Replaying very long access streams is not worth the planning time; past
   // the cap, report the cache-less analytic bound and say so.
   constexpr std::uint64_t kReplayCap = 1ull << 23;
-  const bool replay = cache_on && cost.chunk_loads <= kReplayCap;
-  if (!cache_on || !replay) {
+  if (!cache_on || cost.chunk_loads > kReplayCap) {
     cost.cache_misses = cost.chunk_loads;
     cost.codec_encodes = cost.chunk_stores;
     cost.exact = !cache_on;
     return cost;
   }
-  cost.chunk_loads = 0;
-  cost.chunk_stores = 0;
-  cost.h2d_bytes = 0;
 
-  // Per-slot sorted access times (time = stage * n_chunks + sweep position,
-  // exactly the ChunkCache clock).
-  const std::uint64_t width = n_chunks;
-  std::vector<std::vector<std::uint64_t>> times(n_chunks);
-  for (std::size_t s = 0; s < plan.size(); ++s) {
-    const StageAccess& stage = plan[s];
-    if (stage.kind == StageAccess::Kind::kNone) continue;
-    const index_t sc = stage_count(stage);
-    for (index_t local = 0; local < sc; ++local) {
-      const index_t pos = stage.kind == StageAccess::Kind::kPair
-                              ? (local & ~stage.pair_mask)
-                              : local;
-      times[stage.base + local].push_back(s * width + pos);
-    }
-  }
-
-  struct Resident {
-    bool dirty = false;
+  CachePolicy policy(budget_bytes / chunk_raw_bytes, n_chunks);
+  policy.set_plan(plan);
+  const auto evicted = [&](index_t, const CachePolicy::Resident& r) {
+    if (r.dirty) ++cost.codec_encodes;  // write-back
   };
-  std::unordered_map<index_t, Resident> resident;
-  std::vector<std::size_t> cursor(n_chunks, 0);
-  const std::uint64_t capacity = budget_bytes / chunk_raw_bytes;
-  std::uint64_t now = 0;
-
-  constexpr std::uint64_t kNoUse = std::numeric_limits<std::uint64_t>::max();
-  const auto next_use = [&](index_t slot) -> std::uint64_t {
-    std::size_t& c = cursor[slot];
-    while (c < times[slot].size() && times[slot][c] <= now) ++c;
-    return c < times[slot].size() ? times[slot][c] : kNoUse;
-  };
-  // Mirrors ChunkCache::worth_inserting / evict_to_fit: admit when the
-  // cache has room, or when some resident's next use is strictly farther
-  // than the incoming slot's; evict the farthest next use, ties broken
-  // toward the larger slot index.
-  const auto worth = [&](index_t slot) {
-    if (resident.size() < capacity) return true;
-    const std::uint64_t incoming = next_use(slot);
-    for (const auto& [rslot, r] : resident)
-      if (next_use(rslot) > incoming) return true;
-    return false;
-  };
-  const auto evict_to_fit = [&] {
-    while (resident.size() >= capacity && !resident.empty()) {
-      auto victim = resident.begin();
-      std::uint64_t victim_next = next_use(victim->first);
-      for (auto it = std::next(resident.begin()); it != resident.end(); ++it) {
-        const std::uint64_t nu = next_use(it->first);
-        if (nu > victim_next ||
-            (nu == victim_next && it->first > victim->first)) {
-          victim = it;
-          victim_next = nu;
-        }
-      }
-      if (victim->second.dirty) ++cost.codec_encodes;
-      resident.erase(victim);
-    }
-  };
-  const auto load = [&](index_t slot, std::uint64_t t) {
-    now = std::max(now, t);
-    ++cost.chunk_loads;
-    cost.h2d_bytes += chunk_raw_bytes;
-    if (resident.count(slot) != 0) {
+  const auto load = [&](index_t slot) {
+    if (policy.access(slot) != nullptr) {
       ++cost.cache_hits;
       return;
     }
     ++cost.cache_misses;
-    if (worth(slot)) {
-      evict_to_fit();
-      resident.emplace(slot, Resident{false});
+    if (policy.make_room(slot, evicted)) policy.insert(slot, false, 0);
+  };
+  const auto store = [&](index_t slot) {
+    if (CachePolicy::Resident* r = policy.access(slot)) {
+      r->dirty = true;
+    } else if (policy.make_room(slot, evicted)) {
+      policy.insert(slot, true, 0);
+    } else {
+      ++cost.codec_encodes;  // pass-through
     }
   };
-  const auto store = [&](index_t slot, std::uint64_t t) {
-    now = std::max(now, t);
-    ++cost.chunk_stores;
-    const auto it = resident.find(slot);
-    if (it != resident.end()) {
-      it->second.dirty = true;
-      return;
-    }
-    if (worth(slot)) {
-      evict_to_fit();
-      resident.emplace(slot, Resident{true});
-      return;
-    }
-    ++cost.codec_encodes;
-  };
-
   for (std::size_t s = 0; s < plan.size(); ++s) {
     const StageAccess& stage = plan[s];
-    const index_t sc = stage_count(stage);
-    switch (stage.kind) {
-      case StageAccess::Kind::kNone:
-        break;
-      case StageAccess::Kind::kEvery:
-        for (index_t local = 0; local < sc; ++local) {
-          load(stage.base + local, s * width + local);
-          store(stage.base + local, s * width + local);
-        }
-        break;
-      case StageAccess::Kind::kPair:
-        for (index_t local = 0; local < sc; ++local) {
-          if ((local & stage.pair_mask) != 0) continue;
-          const index_t i = stage.base + local;
-          const index_t j = stage.base + (local | stage.pair_mask);
-          const std::uint64_t t = s * width + local;
-          load(i, t);
-          load(j, t);
-          store(i, t);
-          store(j, t);
-        }
-        break;
+    policy.begin_stage(s);
+    if (stage.kind == StageAccess::Kind::kPermute) {
+      for_each_swap_pair(stage.permute, stage_count(stage),
+                         [&](index_t li, index_t lj) {
+                           policy.relabel(stage.base + li, stage.base + lj);
+                         });
+      continue;
+    }
+    for (index_t local = 0; local < stage_count(stage); ++local) {
+      const index_t i = stage.base + local;
+      if (stage.kind == StageAccess::Kind::kEvery) {
+        load(i);
+        store(i);
+      } else if ((local & stage.pair_mask) == 0) {
+        const index_t j = stage.base + (local | stage.pair_mask);
+        load(i);
+        load(j);
+        store(i);
+        store(j);
+      }
     }
   }
-  for (const auto& [slot, r] : resident)
+  policy.for_each([&](index_t, const CachePolicy::Resident& r) {
     if (r.dirty) ++cost.codec_encodes;  // end-of-run flush
+  });
   return cost;
 }
 

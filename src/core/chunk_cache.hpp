@@ -9,12 +9,11 @@
 //     is rewritten k times while resident pays ONE encode instead of k.
 //   * Clean evictions skip recompression altogether — the blob is still
 //     accurate.
-//   * Eviction is Belady-style (farthest next use) when the engine installs
-//     a stage-access plan from the offline partitioner, falling back to LRU
-//     for sweeps with no plan (norm, sampling, observables...). The
-//     offline/online split mirrors the paper's architecture: the partitioner
-//     knows the full stage sequence, so next-use distances are exact up to
-//     dynamic zero-chunk skips (handled by lazy recomputation).
+//   * Admission and eviction are CachePolicy's: Belady (farthest next use)
+//     over the offline stage plan the engine installs, LRU for sweeps with
+//     no plan (norm, sampling, observables...). The same policy replays the
+//     plan offline in forecast_plan_cost, so planner and cache share one
+//     rule.
 //
 // Budget accounting: every resident entry charges chunk_raw_bytes to the
 // budget AND to the shared InFlightLedger, so peak_inflight_bytes /
@@ -45,6 +44,7 @@
 
 #include "common/metrics.hpp"
 #include "common/types.hpp"
+#include "core/chunk_exec.hpp"
 #include "core/codec_pool.hpp"
 #include "core/stage_report.hpp"
 
@@ -79,13 +79,16 @@ struct ChunkCacheStats {
 /// touches and at which position of its in-order sweep.
 struct StageAccess {
   enum class Kind : std::uint8_t {
-    kEvery,  ///< local/measure stage: slot i accessed at position i
-    kPair,   ///< pair stage: slots i and i|pair_mask accessed together at
-             ///< position (i & ~pair_mask)
-    kNone,   ///< permute stage: no codec access at all
+    kEvery,    ///< local/measure stage: slot i accessed at position i
+    kPair,     ///< pair stage: slots i and i|pair_mask accessed together at
+               ///< position (i & ~pair_mask)
+    kPermute,  ///< permute stage: no codec access; `permute` moves slots
   };
   Kind kind = Kind::kEvery;
   index_t pair_mask = 0;  ///< kPair only: high bit of the partner chunk
+  /// kPermute only (window-local bits). The live cache sees the swaps via
+  /// ChunkCache::on_swap; the forecast replays them from here.
+  ChunkPermutation permute{};
   /// Optional slot window (batch mode): the stage touches only slots in
   /// [base, base + count), and positions are window-relative — slot s sweeps
   /// at position (s - base) for kEvery, ((s - base) & ~pair_mask) for kPair
@@ -95,17 +98,111 @@ struct StageAccess {
   index_t count = 0;
 };
 
-/// Replays `plan`'s chunk-access stream (kEvery: load+store of every slot
-/// in ascending order; kPair: load lo, load hi, store lo, store hi per
-/// pair; kNone: nothing) through the same Belady admission and eviction
-/// rules ChunkCache applies online, and returns the predicted cost. This is
-/// what the plan optimizer scores candidate stage orders with, and what
-/// --stage-report prints as "planned" next to the run's actuals. The
-/// forecast assumes every chunk is nonzero (dense upper bound) and models
-/// the access stream unpipelined; with a budget below one chunk it
-/// degenerates to the exact cache-less count. Streams longer than an
-/// internal cap skip the replay and report the cache-less analytic bound
-/// with PlanCost::exact = false.
+/// The chunk cache's replacement rule, payload-free, owning the residency
+/// set: the plan clock (time = stage * width + sweep position, with each
+/// resident's next use memoized and recomputed lazily once the clock passes
+/// it, e.g. after a skipped zero chunk); Belady admission (when full, admit
+/// only if some resident is needed strictly later); victim choice (farthest
+/// next use, ties to the larger slot; LRU without a plan); and relabeling
+/// when a permute stage swaps two slots. ChunkCache runs it online around
+/// its buffers, forecast_plan_cost offline. Coordinator-only.
+class CachePolicy {
+ public:
+  /// Residency record of one slot. `handle` is the owner's payload index;
+  /// the policy never interprets it.
+  struct Resident {
+    bool dirty = false;
+    std::uint32_t handle = 0;
+    std::uint64_t last_use = 0;  ///< LRU tick
+    /// Belady: memoized next scheduled access; stale (recomputed on demand)
+    /// once the clock reaches it, so an access resets it to 0.
+    std::uint64_t next_use = 0;
+  };
+
+  /// `capacity` = chunks that fit the budget (0 = admit nothing); `width` =
+  /// positions per stage (the store's chunk count).
+  CachePolicy(std::uint64_t capacity, index_t width)
+      : capacity_(capacity), width_(width) {}
+
+  /// Installs the offline stage-access schedule (Belady mode). Stage indices
+  /// point into `plan`; call begin_stage() before each stage's accesses.
+  void set_plan(std::vector<StageAccess> plan);
+  void begin_stage(std::size_t stage_index);
+  /// Drops back to LRU mode (plan exhausted / plan-less sweeps).
+  void clear_plan();
+  bool has_plan() const noexcept { return !plan_.empty(); }
+
+  /// Records an access of `slot` in the current stage: advances the clock
+  /// and, if the slot is resident, refreshes its recency and next use.
+  /// Returns the resident record, or null on a miss.
+  Resident* access(index_t slot);
+
+  /// Admission and eviction for the non-resident `slot`: false when the
+  /// policy declines it; otherwise evicts victims, handing each to
+  /// evicted(slot, record) after removing it, until one more slot fits.
+  template <class Fn>
+  bool make_room(index_t slot, Fn&& evicted) {
+    if (!admits(slot)) return false;
+    while (residents_.size() >= capacity_) {
+      const auto victim = pick_victim();
+      const index_t vslot = victim->first;
+      const Resident record = victim->second;
+      residents_.erase(victim);
+      evicted(vslot, record);
+    }
+    return true;
+  }
+
+  /// Makes `slot` resident (after make_room() returned true).
+  void insert(index_t slot, bool dirty, std::uint32_t handle);
+  /// Removes `slot`; returns its record if it was resident.
+  std::optional<Resident> erase(index_t slot);
+  /// Chunks i and j swapped places: their records follow them.
+  void relabel(index_t i, index_t j);
+  /// Forgets every resident (the plan and clock stay).
+  void clear() { residents_.clear(); }
+
+  const Resident* find(index_t slot) const;
+  /// Calls fn(slot, record) for every resident; fn may update `dirty`.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    for (auto& [slot, record] : residents_) fn(slot, record);
+  }
+
+ private:
+  static constexpr std::uint64_t kNever =
+      std::numeric_limits<std::uint64_t>::max();
+
+  bool plan_active() const noexcept {
+    return !plan_.empty() && stage_ < plan_.size();
+  }
+  /// First scheduled access of `slot` strictly after `from_time`.
+  std::uint64_t next_use_of(index_t slot, std::uint64_t from_time) const;
+  /// Memoized next use of a resident, recomputed once the clock passed it.
+  std::uint64_t next_use(index_t slot, Resident& r);
+  bool admits(index_t slot);
+  std::unordered_map<index_t, Resident>::iterator pick_victim();
+
+  std::uint64_t capacity_;
+  std::uint64_t width_;
+  std::unordered_map<index_t, Resident> residents_;
+  std::vector<StageAccess> plan_;
+  std::size_t stage_ = 0;
+  std::uint64_t now_ = 0;  ///< stage_ * width_ + current position
+  std::uint64_t lru_tick_ = 0;
+};
+
+/// Replays `plan`'s access order through CachePolicy, the live cache's rule,
+/// and returns the predicted cost: kEvery loads then stores each slot in
+/// ascending order; kPair loads lo, loads hi, stores lo, stores hi per pair;
+/// kPermute relabels residents through its swap pairs, as on_swap does
+/// live. The plan optimizer scores stage orders with it; --stage-report
+/// prints it as "planned". It equals the live counters when the run meets
+/// its assumptions: every chunk is nonzero (zero-chunk skips only remove
+/// work), the access order is unpipelined (a pipelined stage reads ahead
+/// before it stores), and every stage modifies every chunk (an unmodified
+/// chunk is not stored). Streams longer than an internal cap skip the replay
+/// and report the cache-less bound with PlanCost::exact = false.
 PlanCost forecast_plan_cost(const std::vector<StageAccess>& plan,
                             index_t n_chunks, std::uint64_t chunk_raw_bytes,
                             std::uint64_t budget_bytes);
@@ -127,13 +224,15 @@ class ChunkCache {
     return resident_g_.value();
   }
 
-  /// Installs the offline stage-access schedule (Belady mode). Stage titles
-  /// index into `plan`; call begin_stage() before each stage's accesses.
-  void set_plan(std::vector<StageAccess> plan);
-  void begin_stage(std::size_t stage_index);
-  /// Drops back to LRU mode (plan exhausted / plan-less sweeps).
-  void clear_plan();
-  bool has_plan() const noexcept { return !plan_.empty(); }
+  /// Plan clock of the replacement policy (see CachePolicy).
+  void set_plan(std::vector<StageAccess> plan) {
+    policy_.set_plan(std::move(plan));
+  }
+  void begin_stage(std::size_t stage_index) {
+    policy_.begin_stage(stage_index);
+  }
+  void clear_plan() { policy_.clear_plan(); }
+  bool has_plan() const noexcept { return policy_.has_plan(); }
 
   /// Reads chunk `i` into `out` (chunk_amps amplitudes), decoding and
   /// inserting on a miss.
@@ -194,44 +293,25 @@ class ChunkCache {
   Timings take_timings();
 
  private:
-  struct Entry {
+  /// Decoded amplitudes of one resident, at the policy record's handle.
+  struct Payload {
     std::vector<amp_t> data;
-    bool dirty = false;
     /// Provenance: true iff `data` came out of ChunkCodec::decode (miss
     /// decode or alias copy of one). Only such entries may serve dedup
     /// alias hits — a store()-inserted entry holds PRE-codec amplitudes,
     /// which a lossy codec would not reproduce, so copying it would break
     /// bit-identity with the dedup-off path.
     bool from_decode = false;
-    std::uint64_t last_use = 0;  ///< LRU tick
-    std::uint64_t next_use = 0;  ///< Belady: next scheduled access time
   };
 
-  static constexpr std::uint64_t kNever =
-      std::numeric_limits<std::uint64_t>::max();
-
-  bool plan_active() const noexcept {
-    return !plan_.empty() && stage_ < plan_.size();
-  }
-  /// Position of slot in a stage's sweep, or nullopt if untouched.
-  static std::optional<index_t> position_in(const StageAccess& stage,
-                                            index_t slot);
-  /// First scheduled access of `slot` strictly after `from_time`.
-  std::uint64_t next_use_of(index_t slot, std::uint64_t from_time) const;
-  /// Advances the Belady clock to the access of `slot` in the current stage.
-  void touch(index_t slot, Entry& entry);
-  /// Advances the Belady clock to `slot`'s position in the current stage.
-  void advance_clock(index_t slot);
-  /// Belady admission filter: false when caching `slot` would evict an
-  /// entry that is needed sooner than `slot` itself.
-  bool worth_inserting(index_t slot);
   /// Drains the write-back backlog if `i` still has an encode in flight.
   void guard_slot(index_t i);
-  /// Evicts victims until `extra_bytes` more fit in the budget.
-  void evict_to_fit(std::uint64_t extra_bytes);
-  /// Inserts a copy of `data` (caller guarantees it fits after eviction).
-  void insert(index_t i, std::span<const amp_t> data, bool dirty,
-              bool from_decode);
+  /// Caches a copy of `data` as slot `i` if the policy admits it, evicting
+  /// (and writing back) its victims first.
+  bool admit(index_t i, std::span<const amp_t> data, bool dirty,
+             bool from_decode);
+  /// Releases an evicted or dropped resident's payload.
+  std::vector<amp_t> take_payload(const CachePolicy::Resident& r);
   /// Serves a miss of `i` by copying a clean decode-derived entry of a
   /// blob-store-verified identical chunk. False when no such entry exists.
   bool try_alias_load(index_t i, std::span<amp_t> out);
@@ -243,19 +323,14 @@ class ChunkCache {
   std::uint64_t budget_bytes_;
   std::uint64_t chunk_raw_bytes_;
 
-  std::unordered_map<index_t, Entry> entries_;
+  CachePolicy policy_;
+  std::vector<Payload> payloads_;  ///< indexed by CachePolicy::Resident::handle
+  std::vector<std::uint32_t> free_handles_;
 
   // Deferred write-backs ride the same bounded-backlog writer the engines
   // use; `pending_wb_` over-approximates the slots still in flight.
   ChunkWriter writer_;
   std::unordered_set<index_t> pending_wb_;
-
-  // Belady schedule + clock.
-  std::vector<StageAccess> plan_;
-  std::size_t stage_ = 0;
-  std::uint64_t width_ = 0;  ///< positions per stage (= n_chunks)
-  std::uint64_t now_ = 0;    ///< stage_ * width_ + current position
-  std::uint64_t lru_tick_ = 0;
 
   // Per-instance metrics cells (common/metrics.hpp); stats() subtracts
   // `base_` so reset_stats() re-baselines without breaking monotonicity.
@@ -321,8 +396,7 @@ class SweepPlanGuard {
                           index_t count = 0)
       : cache_(cache != nullptr && !cache->has_plan() ? cache : nullptr) {
     if (cache_ != nullptr) {
-      cache_->set_plan({StageAccess{StageAccess::Kind::kEvery, 0, base,
-                                    count}});
+      cache_->set_plan({StageAccess{.base = base, .count = count}});
       cache_->begin_stage(0);
     }
   }

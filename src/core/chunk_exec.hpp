@@ -32,6 +32,31 @@ bool apply_gate_to_pair(std::span<amp_t> pair, index_t chunk_lo,
                         qubit_t chunk_qubits, qubit_t pair_qubit,
                         const circuit::Gate& gate);
 
+/// A chunk permutation as a set of disjoint slot swaps: every index li with
+/// all `set` bits and no `clear` bit swaps with li ^ flip. X on chunk bit b
+/// is clear = flip = 2^b; SWAP of chunk bits a, b is set = 2^a, clear = 2^b,
+/// flip = 2^a | 2^b; controls (all high) add their chunk bits to `set`.
+struct ChunkPermutation {
+  index_t set = 0;
+  index_t clear = 0;
+  index_t flip = 0;
+};
+
+/// The chunk permutation of a pure-permute gate (X or SWAP on high qubits,
+/// every control high). Throws InvalidArgument for any other gate.
+ChunkPermutation chunk_permutation(const circuit::Gate& gate,
+                                   qubit_t chunk_qubits);
+
+/// Calls fn(li, lj) for each swap pair of `perm` over indices [0, count),
+/// in ascending li — the one enumeration both the compressed-store
+/// permutation and the cache forecast's slot relabeling walk.
+template <class Fn>
+void for_each_swap_pair(const ChunkPermutation& perm, index_t count, Fn&& fn) {
+  for (index_t li = 0; li < count; ++li)
+    if ((li & perm.set) == perm.set && (li & perm.clear) == 0)
+      fn(li, li ^ perm.flip);
+}
+
 class ChunkStore;
 class ChunkCache;
 

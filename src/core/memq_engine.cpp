@@ -159,8 +159,8 @@ void MemQSimEngine::run(const circuit::Circuit& circuit) {
   // state (which is invariant under qubit relabeling).
   const bool fresh_layout_choice =
       config_.optimize_layout && state_is_fresh_ && layout_.is_identity();
+  WallTimer offline;
   {
-    ScopedPhase offline(telemetry_.cpu_phases, "offline_partition");
     if (fresh_layout_choice)
       layout_ = QubitLayout::optimize(circuit, chunk_qubits());
     // Swap elision runs strictly BEFORE partitioning on every path, so a
@@ -205,7 +205,11 @@ void MemQSimEngine::run(const circuit::Circuit& circuit) {
       plan_->cost = estimate_plan_cost(*plan_, opt);
     }
   }
-  charge_cpu(telemetry_.cpu_phases.get("offline_partition"));
+  // Charge this run's planning only; the phase total accumulates across
+  // runs of one engine.
+  const double offline_seconds = offline.seconds();
+  telemetry_.cpu_phases.add("offline_partition", offline_seconds);
+  charge_cpu(offline_seconds);
   state_is_fresh_ = false;
 
   if (pager_.cache_enabled()) {
@@ -233,40 +237,11 @@ void MemQSimEngine::run(const circuit::Circuit& circuit) {
 
   for (std::size_t si = 0; si < plan_->stages.size(); ++si) {
     const Stage& stage = plan_->stages[si];
-    pager_.begin_stage(si);
     {
       MEMQ_TRACE_SCOPE("stage", stage_kind_name(stage.kind),
                        trace::arg("stage", std::uint64_t{si}) + "," +
                            trace::arg("gates", stage.gates.size()));
-      metrics::ScopedTimer stage_timer(stage_ns_);
-      switch (stage.kind) {
-        case StageKind::kLocal:
-          ++telemetry_.stages_local;
-          run_local_stage(stage);
-          break;
-        case StageKind::kPair:
-          ++telemetry_.stages_pair;
-          run_pair_stage(stage);
-          break;
-        case StageKind::kPermute:
-          ++telemetry_.stages_permute;
-          run_permute_stage(stage);
-          break;
-        case StageKind::kMeasure: {
-          ++telemetry_.stages_measure;
-          const Gate& g = stage.gates.at(0);
-          const bool outcome = measure_qubit(g.targets.at(0));
-          if (g.kind == GateKind::kReset && outcome) {
-            const Gate fix = Gate::x(g.targets[0]);
-            if (g.targets[0] >= chunk_qubits()) {
-              run_permute_stage({StageKind::kPermute, {fix}, 0});
-            } else {
-              run_local_stage({StageKind::kLocal, {fix}, 0});
-            }
-          }
-          break;
-        }
-      }
+      run_stage_window(stage, 0, 0, si);
     }
     MetricsSnap now_snap = take_metrics_snap();
     StageRow row = MetricsSnap::delta(prev_snap, now_snap, devices_.size());
@@ -281,7 +256,6 @@ void MemQSimEngine::run(const circuit::Circuit& circuit) {
 
   sync_devices();  // drain every device before reporting
   telemetry_.wall_seconds += wall.seconds();
-  collect_device_telemetry();
   refresh_footprint_telemetry();
   const MetricsSnap last_snap = take_metrics_snap();
   report_.total = MetricsSnap::delta(first_snap, last_snap, devices_.size());
@@ -344,10 +318,24 @@ void MemQSimEngine::run_stage_window(const Stage& stage, index_t base,
       ++telemetry_.stages_permute;
       run_permute_stage(stage, base, span);
       break;
-    case StageKind::kMeasure:
-      MEMQ_THROW(InvalidArgument,
-                 "measure stages are not batchable (the scheduler rejects "
-                 "measure/reset circuits up front)");
+    case StageKind::kMeasure: {
+      if (span != 0)
+        MEMQ_THROW(InvalidArgument,
+                   "measure stages are not batchable (the scheduler rejects "
+                   "measure/reset circuits up front)");
+      ++telemetry_.stages_measure;
+      const Gate& g = stage.gates.at(0);
+      const bool outcome = measure_qubit(g.targets.at(0));
+      if (g.kind == GateKind::kReset && outcome) {
+        const Gate fix = Gate::x(g.targets[0]);
+        if (g.targets[0] >= chunk_qubits()) {
+          run_permute_stage({StageKind::kPermute, {fix}, 0});
+        } else {
+          run_local_stage({StageKind::kLocal, {fix}, 0});
+        }
+      }
+      break;
+    }
   }
 }
 
@@ -356,6 +344,7 @@ void MemQSimEngine::sync_devices() {
     ctx.device->sync_host(*ctx.d2h);
     ctx.device->sync_host(*ctx.compute);
   }
+  collect_device_telemetry();
 }
 
 void MemQSimEngine::run_permute_stage(const Stage& stage, index_t base,

@@ -57,10 +57,11 @@ class MemQSimEngine final : public CompressedEngineBase {
   /// with the same config schedules. Pure: no state or telemetry changes.
   StagePlan plan_for(const circuit::Circuit& circuit);
 
-  /// Executes one non-measure stage of a member plan against the chunk
-  /// window [base, base + span): advances the cache's plan cursor to
-  /// `access_index` (the stage's slot in the installed batch StageAccess
-  /// schedule) and dispatches with member-local chunk arithmetic.
+  /// Executes one stage against the chunk window [base, base + span):
+  /// advances the cache's plan cursor to `access_index` (the stage's slot in
+  /// the installed StageAccess schedule) and dispatches with member-local
+  /// chunk arithmetic. run() drives every stage through here with the whole
+  /// store (base = span = 0); measure stages are legal only there.
   void run_stage_window(const Stage& stage, index_t base, index_t span,
                         std::size_t access_index);
 
@@ -77,7 +78,8 @@ class MemQSimEngine final : public CompressedEngineBase {
     pager_.fanout(src_base, dst_base, count);
   }
 
-  /// Drains every modeled device stream (run() does this before reporting;
+  /// Drains every modeled device stream and folds the device counters and
+  /// the modeled clock into telemetry() (run() does this before reporting;
   /// the batch scheduler calls it once after the last member stage).
   void sync_devices();
 

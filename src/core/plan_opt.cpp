@@ -201,27 +201,34 @@ circuit::Circuit schedule_locality(const Circuit& circuit,
   return out;
 }
 
+StageAccess stage_access(const Stage& stage, qubit_t chunk_qubits,
+                         index_t base, index_t count) {
+  StageAccess a;
+  a.base = base;
+  a.count = count;
+  switch (stage.kind) {
+    case StageKind::kPermute:
+      a.kind = StageAccess::Kind::kPermute;
+      a.permute = chunk_permutation(stage.gates.at(0), chunk_qubits);
+      break;
+    case StageKind::kPair:
+      a.kind = StageAccess::Kind::kPair;
+      a.pair_mask = index_t{1} << (stage.pair_qubit - chunk_qubits);
+      break;
+    case StageKind::kLocal:
+    case StageKind::kMeasure:
+      a.kind = StageAccess::Kind::kEvery;
+      break;
+  }
+  return a;
+}
+
 std::vector<StageAccess> plan_accesses(const StagePlan& plan,
                                        qubit_t chunk_qubits) {
   std::vector<StageAccess> accesses;
   accesses.reserve(plan.stages.size());
-  for (const Stage& stage : plan.stages) {
-    StageAccess a;
-    switch (stage.kind) {
-      case StageKind::kPermute:
-        a.kind = StageAccess::Kind::kNone;
-        break;
-      case StageKind::kPair:
-        a.kind = StageAccess::Kind::kPair;
-        a.pair_mask = index_t{1} << (stage.pair_qubit - chunk_qubits);
-        break;
-      case StageKind::kLocal:
-      case StageKind::kMeasure:
-        a.kind = StageAccess::Kind::kEvery;
-        break;
-    }
-    accesses.push_back(a);
-  }
+  for (const Stage& stage : plan.stages)
+    accesses.push_back(stage_access(stage, chunk_qubits));
   return accesses;
 }
 

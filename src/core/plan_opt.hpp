@@ -12,9 +12,9 @@
 //       likewise; the next pair qubit is chosen by a one-stage rollout
 //       (how many ready + unlocked gates one stage on that qubit absorbs);
 //   (3) a stage-fusion + reorder pass that swaps adjacent commuting stages
-//       when the Belady cache forecast (chunk_cache.hpp's
-//       forecast_plan_cost, the exact admission/eviction rules the online
-//       cache applies) predicts fewer misses under the configured
+//       when the cache forecast (chunk_cache.hpp's forecast_plan_cost, a
+//       replay of the plan through the same CachePolicy the online cache
+//       runs) predicts fewer codec passes under the configured
 //       --cache-budget, then re-partitions so newly adjacent mergeable
 //       stages fuse.
 //
@@ -56,13 +56,20 @@ circuit::Circuit lower_mixed_swaps(const circuit::Circuit& circuit,
 circuit::Circuit schedule_locality(const circuit::Circuit& circuit,
                                    qubit_t chunk_qubits);
 
-/// The chunk-access stream `plan` induces, as consumed by
-/// ChunkCache::set_plan and forecast_plan_cost (kPermute -> kNone, kPair ->
-/// kPair with the pair-bit mask, kLocal/kMeasure -> kEvery).
+/// The chunk accesses one stage induces: kPermute carries its gate's chunk
+/// permutation, kPair the pair-bit mask, kLocal/kMeasure sweep every slot.
+/// The optional window [base, base + count) scopes it to one batch member.
+StageAccess stage_access(const Stage& stage, qubit_t chunk_qubits,
+                         index_t base = 0, index_t count = 0);
+
+/// The access schedule of a whole plan, one stage_access() per stage. The
+/// engine installs it on the cache (ChunkCache::set_plan) and the forecast
+/// replays it, so both run one CachePolicy over one schedule.
 std::vector<StageAccess> plan_accesses(const StagePlan& plan,
                                        qubit_t chunk_qubits);
 
-/// Predicted cost of executing `plan` under `opt`'s cache budget.
+/// Predicted cost of executing `plan` under `opt`'s cache budget: the
+/// forecast_plan_cost replay of plan_accesses(plan).
 PlanCost estimate_plan_cost(const StagePlan& plan, const PlanOptOptions& opt);
 
 /// Full pipeline: lower -> DAG-schedule -> partition -> cache-aware stage

@@ -19,11 +19,11 @@
 namespace memq::core {
 
 /// Offline prediction of a stage plan's data-movement cost under the
-/// configured cache budget — computed by replaying the plan's chunk-access
-/// stream through the exact Belady admission/eviction rules of
-/// core/chunk_cache.cpp (see forecast_plan_cost there). The forecast assumes
-/// every chunk is nonzero, so loads/misses are a dense upper bound on the
-/// run's actuals (zero-chunk skips only remove work).
+/// configured cache budget — the plan's access order replayed through the
+/// chunk cache's own CachePolicy (forecast_plan_cost, core/chunk_cache.hpp).
+/// It assumes every chunk is nonzero, an unpipelined access order and that
+/// every stage modifies every chunk; zero-chunk skips only remove accesses,
+/// so predicted loads bound the run's from above.
 struct PlanCost {
   std::uint64_t chunk_loads = 0;   ///< chunk load ops the plan will issue
   std::uint64_t chunk_stores = 0;  ///< chunk store ops the plan will issue

@@ -77,6 +77,33 @@ TEST(BatchScheduler, KOneIsBitIdenticalToSerial) {
   EXPECT_EQ(s.shared_stages, 0u);
 }
 
+// BatchScheduler::run drives the engine stage by stage and never calls
+// run(), so the device counters must reach telemetry() through
+// sync_devices(); an empty run() afterwards moves no data.
+TEST(BatchScheduler, DeviceTelemetryIsCurrentAfterRun) {
+  const qubit_t n = 10;
+  BatchScheduler batch(n, batch_cfg(4, 4));
+  batch.run(std::vector<circuit::Circuit>(4, circuit::make_qft(n)));
+  MemQSimEngine& engine = batch.engine();
+  const EngineTelemetry after = engine.telemetry();
+  EXPECT_GT(after.chunk_loads, 0u);
+  EXPECT_GT(after.h2d_bytes, 0u);
+  EXPECT_GT(after.d2h_bytes, 0u);
+  EXPECT_GT(after.kernel_launches, 0u);
+  EXPECT_GT(after.modeled_total_seconds, 0.0);
+
+  engine.run(circuit::Circuit(engine.n_qubits()));
+  const EngineTelemetry empty = engine.telemetry();
+  EXPECT_EQ(empty.h2d_bytes, after.h2d_bytes);
+  EXPECT_EQ(empty.d2h_bytes, after.d2h_bytes);
+  EXPECT_EQ(empty.kernel_launches, after.kernel_launches);
+  // The empty run charges only its own planning to the modeled clock.
+  EXPECT_NEAR(empty.modeled_total_seconds - after.modeled_total_seconds,
+              empty.cpu_phases.get("offline_partition") -
+                  after.cpu_phases.get("offline_partition"),
+              1e-12);
+}
+
 TEST(BatchScheduler, MoreMembersThanChunksPerMember) {
   // span = 2 chunks per member, K = 8 members: the member-index qubits
   // dominate the chunk index, so any window-arithmetic slip corrupts a

@@ -154,6 +154,32 @@ TEST(ChunkCacheUnit, PairStagePositionsShareTheSlot) {
   EXPECT_GE(cache.stats().hits, 1u);  // slot 0 survived the boundary
 }
 
+TEST(ChunkCacheUnit, RelabeledResidentTakesItsNewSlotsNextUse) {
+  // Stage 1 swaps chunks 1 and 2; the resident loaded as slot 1 becomes
+  // slot 2, which the plan never touches again. When slot 3 arrives at a
+  // full cache, Belady must see that and evict it — a next use kept from
+  // slot 1 (stage 3) would decline slot 3 and lose its stage-4 hit.
+  CacheFixture fx;
+  ChunkCache cache(fx.store, nullptr, fx.buffers, fx.ledger,
+                   2 * fx.chunk_raw());
+  cache.set_plan({StageAccess{.base = 0, .count = 2},
+                  StageAccess{.kind = StageAccess::Kind::kPermute},
+                  StageAccess{.base = 3, .count = 1},
+                  StageAccess{.base = 0, .count = 2},
+                  StageAccess{.base = 3, .count = 1}});
+  const std::vector<std::vector<index_t>> loads = {{0, 1}, {}, {3}, {0, 1},
+                                                   {3}};
+  for (std::size_t stage = 0; stage < loads.size(); ++stage) {
+    cache.begin_stage(stage);
+    if (stage == 1) {
+      cache.on_swap(1, 2);
+      fx.store.swap_chunks(1, 2);
+    }
+    for (const index_t ci : loads[stage]) cache.load(ci, fx.scratch);
+  }
+  EXPECT_EQ(cache.stats().hits, 2u);  // slot 0 in stage 3, slot 3 in stage 4
+}
+
 // ---------------------------------------------------------------------------
 // Write-back semantics
 // ---------------------------------------------------------------------------

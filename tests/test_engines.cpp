@@ -265,6 +265,22 @@ TEST(Telemetry, WuUsesNoDevice) {
   EXPECT_GT(t.modeled_total_seconds, 0.0);
 }
 
+TEST(Telemetry, RepeatedRunsChargePlanningToModeledClockOnce) {
+  // An empty circuit does no device or codec work, so the modeled clock is
+  // exactly the planning each run charged. Every run must charge only its
+  // own share, not the phase total accumulated over earlier runs.
+  EngineConfig cfg;
+  cfg.chunk_qubits = 3;
+  auto engine = make_engine(EngineKind::kMemQSim, 6, cfg);
+  for (int run = 1; run <= 4; ++run) {
+    engine->run(circuit::Circuit(6));
+    const auto& t = engine->telemetry();
+    EXPECT_NEAR(t.modeled_total_seconds, t.cpu_phases.get("offline_partition"),
+                1e-12)
+        << "after run " << run;
+  }
+}
+
 TEST(Telemetry, CompressedEnginesUseLessPeakStateMemoryOnSparseStates) {
   // GHZ keeps the state 2-sparse: the compressed store must be far below
   // the dense 2^n x 16 B footprint.

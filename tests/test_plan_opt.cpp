@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "circuit/workloads.hpp"
 #include "common/prng.hpp"
@@ -199,6 +201,47 @@ TEST(PlanCostForecast, PartialBudgetLandsBetween) {
   EXPECT_LE(full, half);
   EXPECT_LE(half, cold);
   EXPECT_LT(full, cold);
+}
+
+// The forecast replays the live cache's own policy, so on a dense state
+// (no zero-chunk skips), unpipelined, with no codec or dedup shortcuts, its
+// load/hit/miss counts must equal what the run actually did — including
+// across permute stages, where the cache's residents move with their blobs.
+TEST(PlanCostForecast, EqualsLiveCacheOnDenseState) {
+  const qubit_t n = 14, chunk = 8;
+  Prng rng(2024);
+  std::vector<amp_t> dense(index_t{1} << n);
+  for (amp_t& a : dense) a = rng.normal_amp();
+  for (const char* name : {"qft", "random", "qaoa"}) {
+    const Circuit c = std::string(name) == "qft"
+                          ? circuit::make_qft(n)
+                          : circuit::make_workload(name, n, 3);
+    for (const std::uint64_t divisor : {4ull, 2ull}) {
+      for (const bool plan_opt : {false, true}) {
+        EngineConfig cfg;
+        cfg.chunk_qubits = chunk;
+        cfg.codec.compressor = "null";
+        cfg.dedup = false;
+        cfg.pipelined = false;
+        cfg.plan_opt = plan_opt;
+        cfg.cache_budget_bytes = (sizeof(amp_t) << n) / divisor;
+        MemQSimEngine engine(n, cfg);
+        engine.load_dense(dense);
+        engine.run(c);
+        const StageReport& r = *engine.stage_report();
+        const std::string where = std::string(name) + " budget=1/" +
+                                  std::to_string(divisor) +
+                                  " plan_opt=" + (plan_opt ? "on" : "off");
+        ASSERT_TRUE(r.planned.exact) << where;
+        EXPECT_EQ(r.planned.chunk_loads,
+                  r.total.cache_hits + r.total.cache_misses)
+            << where;
+        EXPECT_EQ(r.planned.cache_hits, r.total.cache_hits) << where;
+        EXPECT_EQ(r.planned.cache_misses, r.total.cache_misses) << where;
+        EXPECT_EQ(r.planned.cache_misses, r.total.chunk_loads) << where;
+      }
+    }
+  }
 }
 
 TEST(PlanOpt, OptimizedPlanForecastNoWorseOnQft) {
